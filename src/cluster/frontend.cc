@@ -13,22 +13,6 @@ uint64_t frontend_seed(uint64_t cluster_seed, uint32_t index) {
   return index == 0 ? base : subseed(base, static_cast<uint64_t>(index));
 }
 
-Frontend& pick_ready_frontend(
-    const std::vector<std::unique_ptr<Frontend>>& frontends,
-    uint32_t& cursor) {
-  size_t f = frontends.size();
-  for (size_t k = 0; k < f; ++k) {
-    size_t cand = (cursor + k) % f;
-    if (frontends[cand]->ready()) {
-      cursor = static_cast<uint32_t>((cand + 1) % f);
-      return *frontends[cand];
-    }
-  }
-  Frontend& fe = *frontends[cursor % f];
-  cursor = static_cast<uint32_t>((cursor + 1) % f);
-  return fe;
-}
-
 // Finish estimator over the front-end's EWMA rates and queue projections.
 class Frontend::Estimator : public core::FinishEstimator {
  public:

@@ -104,21 +104,10 @@ struct QueryRequest {
 };
 
 // Seed derivation for front-end instance `index` of a cluster seeded with
-// `cluster_seed`. Shared by both harnesses — the InProc-vs-TCP parity
-// tests depend on their front-ends drawing identical random sequences.
+// `cluster_seed`. The InProc-vs-TCP parity tests depend on front-ends
+// drawing identical random sequences on both substrates.
 // Instance 0 keeps the historical single-front-end stream.
 uint64_t frontend_seed(uint64_t cluster_seed, uint32_t index);
-
-class Frontend;
-
-// The harnesses' client-side balancer rule, shared so the two cannot
-// drift (parity depends on identical front-end selection): round-robin
-// from `cursor`, skipping instances that are down or still syncing their
-// view. Advances `cursor` past the pick; with nothing ready, returns the
-// cursor's instance (whose submit refuses instantly).
-Frontend& pick_ready_frontend(
-    const std::vector<std::unique_ptr<Frontend>>& frontends,
-    uint32_t& cursor);
 
 class Frontend {
  public:

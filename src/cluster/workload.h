@@ -119,8 +119,8 @@ struct ClassTotals {
 
 class WorkloadEngine {
  public:
-  // The cluster-side submission hook — EmulatedCluster::submit_query or
-  // TcpCluster::submit_query bound by the caller.
+  // The cluster-side submission hook — Cluster::submit_query (on either
+  // substrate) bound by the caller.
   using SubmitFn =
       std::function<uint64_t(const QueryRequest&, Frontend::QueryCallback)>;
   // One antagonist ingest operation (add or delete); `is_delete` follows

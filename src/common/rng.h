@@ -55,12 +55,12 @@ class Rng {
   uint64_t s_[4];
 };
 
-// Named sub-streams of a harness seed. Every stochastic component of a
-// cluster harness (EmulatedCluster, TcpCluster, FaultTransport, the
-// scenario engine) derives its own seed as subseed(config.seed, stream),
-// so the same config seed yields bit-identical runs across harnesses —
-// the property the InProc-vs-TCP parity test and the chaos soak's
-// trace-reproducibility check both rely on.
+// Named sub-streams of a cluster seed. Every stochastic component (the
+// cluster core's membership, front-ends and ingest router, the emulated
+// network, FaultTransport, the scenario engine) derives its own seed as
+// subseed(config.seed, stream), so the same config seed yields the same
+// draws on either substrate — the property the InProc-vs-TCP parity test
+// and the chaos soak's trace-reproducibility check both rely on.
 enum class SeedStream : uint64_t {
   kNetwork = 1,     // InProcNetwork loss injector
   kMembership = 2,  // MembershipServer policy rng

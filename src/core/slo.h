@@ -143,9 +143,9 @@ class AdmissionController {
   std::array<bool, kQueryClasses> shedding_{};
 };
 
-// Harness-level overload-control block, embedded in ClusterConfig /
-// TcpClusterConfig. Caps left at 0 are derived from the contract and the
-// cluster's geometry via the Spang rules (see the harness constructors).
+// Cluster-level overload-control block (ClusterCoreConfig::slo, shared by
+// both substrates). Caps left at 0 are derived from the contract and the
+// cluster's geometry via the Spang rules (see Cluster::assemble).
 struct SloSpec {
   bool enabled = false;
   SloContract contract = SloContract::standard();
@@ -156,11 +156,11 @@ struct SloSpec {
 };
 
 // The spec with every derived field resolved against a cluster's
-// geometry. Both harnesses call this (nowhere else derives caps, so the
-// Spang sizing rule cannot drift between them): `capacity_qps` is the
-// cluster's aggregate query capacity at saturation,
-// `per_node_subq_rate` the sub-query arrival rate one node sees there,
-// and `frontends` the count of desynchronized sources.
+// geometry. Cluster::assemble is the one caller, for both substrates
+// (nowhere else derives caps): `capacity_qps` is the cluster's aggregate
+// query capacity at saturation, `per_node_subq_rate` the sub-query
+// arrival rate one node sees there, and `frontends` the count of
+// desynchronized sources.
 struct ResolvedSlo {
   AdmissionParams admission;      // inflight_cap filled
   size_t node_exec_queue_cap = 0;

@@ -75,11 +75,18 @@ std::vector<TraceEvent> Tracer::events(size_t shard) const {
   return out;
 }
 
-std::vector<TraceEvent> Tracer::collect() const {
+std::vector<TraceEvent> Tracer::collect(const ShardRunner& run_on) const {
   std::vector<TraceEvent> all;
   for (size_t s = 0; s < rings_.size(); ++s) {
-    auto evs = events(s);
-    all.insert(all.end(), evs.begin(), evs.end());
+    auto read = [&] {
+      auto evs = events(s);
+      all.insert(all.end(), evs.begin(), evs.end());
+    };
+    if (run_on) {
+      run_on(s, read);
+    } else {
+      read();
+    }
   }
   std::sort(all.begin(), all.end(),
             [](const TraceEvent& a, const TraceEvent& b) {

@@ -20,8 +20,9 @@
 // Threading: a ring is plain memory written ONLY by its owning shard
 // thread (the same ownership discipline as the rest of the sharded
 // datapath — this layer must stay clean under the nightly TSan bench).
-// Cross-thread collection marshals onto the owner (TcpCluster uses
-// TcpDriver::run_on) or waits for quiescence. The only shared mutable
+// Cross-thread collection marshals onto the owner (collect() takes the
+// cluster's shard runner; TcpCluster's is TcpDriver::run_on) or waits for
+// quiescence. The only shared mutable
 // state is the flight-dump list, which sits behind a mutex on the rare
 // anomaly path.
 //
@@ -125,9 +126,12 @@ class Tracer {
   uint64_t events_recorded() const;
   // One ring's retained events, oldest first. Owner thread or quiescence.
   std::vector<TraceEvent> events(size_t shard) const;
-  // All rings merged and sorted by (at, trace_id, stage). Quiescence
-  // only — TcpCluster exposes a marshaled wrapper instead.
-  std::vector<TraceEvent> collect() const;
+  // All rings merged and sorted by (at, trace_id, stage). Each ring is
+  // read through `run_on(shard, read)`, which must run `read` on that
+  // ring's owner thread; without it, quiescence only.
+  using ShardRunner =
+      std::function<void(size_t shard, const std::function<void()>& read)>;
+  std::vector<TraceEvent> collect(const ShardRunner& run_on = nullptr) const;
 
   // --- flight recorder --------------------------------------------------
   struct FlightDump {

@@ -142,6 +142,23 @@ TEST(ClusterTest, FailureMaskedByTimeoutAndSplit) {
   EXPECT_GT(cluster.frontend().failures_detected(), 0u);
 }
 
+// Queries still in flight at run_queries' give-up deadline finish during
+// a later call. They must count toward neither call: the second call's
+// tally covers exactly its own queries, which the front-end's completed
+// counter confirms (it sees the stragglers and the second batch).
+TEST(ClusterTest, RunQueriesCountsOnlyItsOwnQueries) {
+  EmulatedCluster cluster(small_config());
+  // Each sub-query scans ~1/p of 1M objects at 250k/s: ~1 s of service,
+  // far longer than the 1 ms the first call waits.
+  uint32_t first = cluster.run_queries(1000.0, 3, /*give_up_s=*/1e-3);
+  EXPECT_EQ(first, 0u);
+  uint64_t before = cluster.frontend().queries_completed();
+  uint32_t second = cluster.run_queries(1.0, 5);
+  uint64_t during = cluster.frontend().queries_completed() - before;
+  EXPECT_EQ(second, 5u);
+  EXPECT_EQ(during, 3u + second) << "the 3 stragglers land in the 2nd call";
+}
+
 TEST(ClusterTest, IncreasePIsImmediate) {
   EmulatedCluster cluster(small_config(4, 12));
   cluster.change_p(6);

@@ -5,6 +5,9 @@
 // completion, matches, harvest — message for message.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "cluster/emulated_cluster.h"
 #include "cluster/tcp_cluster.h"
 
@@ -207,6 +210,37 @@ TEST(TcpClusterTest, PReconfigurationOverTheWire) {
   out = cluster.run_query();
   EXPECT_TRUE(out.complete);
   EXPECT_EQ(out.parts_sent, 4u);
+}
+
+// Both substrates register their gauges through the one cluster core, so
+// a dashboard reads the same names off either. TCP may add only its
+// substrate's own families (reactor driver, worker pools).
+TEST(TcpClusterTest, GaugeNamesMatchTheEmulatedCluster) {
+  auto with_ingest = [](auto cfg) {
+    cfg.enable_ingest = true;
+    cfg.engine.corpus_items = 1'000;
+    cfg.dataset_size = cfg.engine.corpus_items;
+    return cfg;
+  };
+  EmulatedCluster inproc(with_ingest(inproc_config()));
+  TcpCluster tcp(with_ingest(tcp_config()));
+
+  std::set<std::string> emulated_names, tcp_names;
+  for (const auto& [name, value] : inproc.metrics().snapshot().values) {
+    emulated_names.insert(name);
+  }
+  for (const auto& [name, value] : tcp.metrics().snapshot().values) {
+    tcp_names.insert(name);
+  }
+  ASSERT_TRUE(emulated_names.count("ingest.ops_applied"));
+  for (const auto& name : emulated_names) {
+    EXPECT_TRUE(tcp_names.count(name)) << "TCP lacks gauge " << name;
+  }
+  for (const auto& name : tcp_names) {
+    if (emulated_names.count(name)) continue;
+    EXPECT_TRUE(name.starts_with("driver.") || name.starts_with("pool."))
+        << "TCP-only gauge outside driver./pool.: " << name;
+  }
 }
 
 }  // namespace
