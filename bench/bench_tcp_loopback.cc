@@ -47,10 +47,12 @@ TcpClusterConfig bench_config(uint64_t seed, uint32_t workers,
   cfg.frontend.initial_rate = 1e7;
   cfg.node_workers = workers;
   if (real_matching) {
-    // Honest CPU: the encrypted keyword match costs ~5 µs/item, so size
-    // the corpus for ~5 ms sub-queries and tell the front-end's delay
-    // estimator the truth (≈200k metadata/s) — seeding it with the
-    // modeled 5e6 rate would declare every node dead on the first query.
+    // Honest CPU: the encrypted keyword match costs ~6 µs/item on the
+    // portable AES path (~60 ns/item with AES-NI on a 4-vCPU Xeon), so
+    // size the corpus for ≤5 ms sub-queries and seed the front-end's
+    // delay estimator with the portable-path rate (≈200k metadata/s) —
+    // the modeled 5e6 rate would declare every node dead on the first
+    // query of a machine without AES-NI.
     cfg.real_matching = true;
     cfg.engine.corpus_items = 4'000;
     cfg.dataset_size = cfg.engine.corpus_items;

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <utility>
 
 #if defined(__x86_64__) || defined(__i386__)
 #define ROAR_AES_X86 1
@@ -12,6 +13,9 @@ namespace roar::pps {
 namespace {
 
 std::atomic<bool> g_force_scalar{false};
+
+constexpr uint8_t kRcon[11] = {0x00, 0x01, 0x02, 0x04, 0x08, 0x10,
+                               0x20, 0x40, 0x80, 0x1B, 0x36};
 
 #ifdef ROAR_AES_X86
 // Hardware path. Compiled with a per-function target attribute so the
@@ -51,6 +55,31 @@ __attribute__((target("aes,sse2"))) void encrypt_blocks_ni(
     for (int r = 1; r < 10; ++r) b = _mm_aesenc_si128(b, rk[r]);
     _mm_storeu_si128(reinterpret_cast<__m128i*>(out[i].data()),
                      _mm_aesenclast_si128(b, rk[10]));
+  }
+}
+
+// One AES-128 key-schedule step: the next round key from the previous
+// one, with RotWord/SubWord/Rcon of its last word from AESKEYGENASSIST.
+template <uint8_t kRoundConstant>
+__attribute__((target("aes,sse2"), always_inline)) inline __m128i
+expand_step_ni(__m128i k) {
+  __m128i t = _mm_shuffle_epi32(
+      _mm_aeskeygenassist_si128(k, kRoundConstant), 0xFF);
+  k = _mm_xor_si128(k, _mm_slli_si128(k, 4));
+  k = _mm_xor_si128(k, _mm_slli_si128(k, 4));
+  k = _mm_xor_si128(k, _mm_slli_si128(k, 4));
+  return _mm_xor_si128(k, t);
+}
+
+template <size_t... R>
+__attribute__((target("aes,sse2"))) void expand_key_ni(
+    const AesKey& key, std::array<std::array<uint8_t, 16>, 11>& rks,
+    std::index_sequence<R...>) {
+  __m128i k[11];
+  k[0] = _mm_loadu_si128(reinterpret_cast<const __m128i*>(key.data()));
+  ((k[R + 1] = expand_step_ni<kRcon[R + 1]>(k[R])), ...);
+  for (int r = 0; r < 11; ++r) {
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(rks[r].data()), k[r]);
   }
 }
 
@@ -108,12 +137,15 @@ const SBoxes& sboxes() {
   return s;
 }
 
-constexpr uint8_t kRcon[11] = {0x00, 0x01, 0x02, 0x04, 0x08, 0x10,
-                               0x20, 0x40, 0x80, 0x1B, 0x36};
-
 }  // namespace
 
 Aes128::Aes128(const AesKey& key) {
+#ifdef ROAR_AES_X86
+  if (accelerated()) {
+    expand_key_ni(key, round_keys_, std::make_index_sequence<10>{});
+    return;
+  }
+#endif
   const SBoxes& sb = sboxes();
   std::memcpy(round_keys_[0].data(), key.data(), 16);
   for (int r = 1; r <= 10; ++r) {

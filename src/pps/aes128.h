@@ -3,9 +3,13 @@
 // PPS uses AES-128 as its pseudorandom permutation (§5.6: "We used 128-bit
 // AES for the symmetric encryption scheme and as a pseudorandom
 // permutation"). The Dictionary scheme permutes word indexes with it, and
-// the corpus tools use it in CTR mode for payload encryption. This is a
-// portable table-free S-box implementation tuned for clarity; throughput is
-// secondary since PPS matching is SHA-1 bound.
+// the corpus tools use it in CTR mode for payload encryption, and the
+// Bloom scheme keys one cipher per trapdoor part, so both the batched
+// matcher (encrypt_blocks) and document encryption (one key expansion per
+// word and hash function) are AES bound. On x86 with AES-NI, encryption
+// and key expansion run on the hardware instructions after a runtime
+// CPUID check; elsewhere a portable table-free S-box implementation
+// tuned for clarity produces the same bytes.
 #pragma once
 
 #include <array>
@@ -20,6 +24,7 @@ using AesBlock = std::array<uint8_t, 16>;
 
 class Aes128 {
  public:
+  // Expands the key schedule (AESKEYGENASSIST when accelerated()).
   explicit Aes128(const AesKey& key);
 
   AesBlock encrypt_block(const AesBlock& in) const;

@@ -92,7 +92,9 @@ class BloomKeywordScheme {
   void set_word(EncryptedMetadata& m, const Trapdoor& t) const;
 
   BloomParams params_;
-  std::vector<Sha1Digest> keys_;  // k_1 … k_r
+  // k_1 … k_r, prepared once: each trapdoor part is then two SHA-1
+  // compressions. Read-only after construction, so shared across threads.
+  std::vector<HmacSha1Key> keys_;
 };
 
 }  // namespace roar::pps

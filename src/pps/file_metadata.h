@@ -50,7 +50,9 @@ struct MetadataEncoderParams {
   // Encode size/mtime words (adds ~100 words per metadata). Benches that
   // only exercise keyword matching disable this: match cost per metadata
   // is unchanged (it depends on the filter, not the word count), while
-  // corpus encryption gets an order of magnitude faster.
+  // corpus encryption does about half the work: ~96 instead of ~202
+  // words per default-corpus document, ~0.5 vs ~1.0 ms per document
+  // with SHA-NI/AES-NI on a 4-vCPU Xeon.
   bool numeric_attributes = true;
 
   static MetadataEncoderParams defaults();

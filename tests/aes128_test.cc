@@ -4,6 +4,8 @@
 
 #include <set>
 
+#include "common/rng.h"
+
 namespace roar::pps {
 namespace {
 
@@ -135,6 +137,44 @@ TEST(Aes128Test, HardwareAndScalarPathsAgree) {
   aes.encrypt_blocks(in.data(), scalar.data(), in.size());
   Aes128::set_force_scalar(false);
   EXPECT_EQ(hw, scalar) << "AES-NI and portable paths must be byte-identical";
+}
+
+// The constructor expands the key with AESKEYGENASSIST on the hardware
+// path and with the S-box loop on the portable one. Both schedules are
+// used through the same cipher path, so only the expansion is compared.
+TEST(Aes128Test, KeyScheduleHardwareAndScalarAgree) {
+  if (!Aes128::accelerated()) {
+    GTEST_SKIP() << "no AES-NI on this machine; scalar path is the only one";
+  }
+  std::vector<AesKey> keys = {
+      key_from({0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6, 0xab, 0xf7,
+                0x15, 0x88, 0x09, 0xcf, 0x4f, 0x3c}),
+      AesKey{}, key_from({0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+                          0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})};
+  Rng rng(41);
+  for (int i = 0; i < 500; ++i) {
+    AesKey k;
+    for (auto& b : k) b = static_cast<uint8_t>(rng.next_u64());
+    keys.push_back(k);
+  }
+  AesBlock pt = {0x32, 0x43, 0xf6, 0xa8, 0x88, 0x5a, 0x30, 0x8d,
+                 0x31, 0x31, 0x98, 0xa2, 0xe0, 0x37, 0x07, 0x34};
+  for (const AesKey& key : keys) {
+    Aes128::set_force_scalar(true);
+    Aes128 scalar_schedule(key);
+    Aes128::set_force_scalar(false);
+    Aes128 hw_schedule(key);
+    ASSERT_TRUE(Aes128::accelerated());
+    AesBlock ct = scalar_schedule.encrypt_block(pt);
+    EXPECT_EQ(hw_schedule.encrypt_block(pt), ct);
+    // decrypt_block is portable only and walks the schedule backwards.
+    EXPECT_EQ(hw_schedule.decrypt_block(ct), pt);
+  }
+  // FIPS 197 Appendix B through the hardware-expanded schedule.
+  Aes128 fips(keys[0]);
+  AesBlock expect = {0x39, 0x25, 0x84, 0x1d, 0x02, 0xdc, 0x09, 0xfb,
+                     0xdc, 0x11, 0x85, 0x97, 0x19, 0x6a, 0x0b, 0x32};
+  EXPECT_EQ(fips.encrypt_block(pt), expect);
 }
 
 }  // namespace
