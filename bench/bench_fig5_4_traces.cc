@@ -40,8 +40,8 @@ int main() {
   disk.batch_entries = 2'000;
   // Calibration: the thesis' Dell 1950 read 230 B metadata at 66 MB/s
   // (3.5 µs/item) against 1.1 µs/item of SHA-1 matching — disk ~3x CPU.
-  // This host's portable SHA-1 costs ~8 µs/item, so the modelled disk rate
-  // is scaled to preserve that 3x bottleneck ratio.
+  // 28 MB/s reads a ~700 B item in ~26 µs, so the cold run stays disk-bound
+  // against AES matching (~1.1 µs/item on a 4-vCPU AES-NI Xeon: ~24x).
   disk.io.disk_mb_s = 28.0;
 
   pps::PipelineConfig cache = disk;

@@ -237,20 +237,18 @@ void ControlPlane::rebuild_tree() {
   tree_.clear();
   for (auto& b : relay::split(targets, params_.relay_fanout)) {
     Root r;
-    r.addr = b.head;
-    r.subtree = std::move(b.rest);
-    auto it = old.find(r.addr);
+    auto it = old.find(b.head);
     if (it != old.end()) {
-      // Surviving roots keep their branch basis, pacing window and any
-      // deferred wave.
-      r.basis = it->second.basis;
-      r.win = it->second.win;
-      r.queued_wave = it->second.queued_wave;
+      // Surviving roots keep their branch basis, pacing window,
+      // watermarks and any deferred wave.
+      r = std::move(it->second);
     } else {
       // A fresh root's members converged through the old tree; anything
       // further behind gaps and pulls (the repair path).
       r.basis = last_tree_epoch_;
     }
+    r.addr = b.head;
+    r.subtree = std::move(b.rest);
     tree_.push_back(std::move(r));
   }
 }
@@ -279,10 +277,10 @@ ViewDeltaMsg ControlPlane::delta_since(uint64_t basis) {
 void ControlPlane::send_wave_to_root(Root& r) {
   auto it = subs_.find(r.addr);
   if (it == subs_.end() || it->second.down) return;
-  if (!r.win.can_send()) {
+  if (!r.win.allows(r.mark.in_flight)) {
     // Deferred; a newer wave supersedes an already-queued one (bounded
-    // buffer of one), the AIMD signal that this branch is falling behind.
-    if (r.queued_wave) r.win.on_supersede();
+    // buffer of one), the AIMD loss that this branch is falling behind.
+    if (r.queued_wave) r.win.on_loss();
     r.queued_wave = true;
     mark_expected(r.addr, it->second);  // still owed: tick repairs a stall
     return;
@@ -292,7 +290,7 @@ void ControlPlane::send_wave_to_root(Root& r) {
       std::min<uint32_t>(params_.relay_fanout, 255));
   msg.relay_targets = r.subtree;
   send_raw(r.addr, msg.encode());
-  r.win.on_sent(view_.epoch);
+  r.mark.on_sent(view_.epoch);
   r.basis = view_.epoch;
   r.queued_wave = false;
   mark_expected(r.addr, it->second);
@@ -402,7 +400,7 @@ void ControlPlane::resync(bool everyone) {
     if (it->second.down) continue;
     if (!it->second.is_frontend) {
       if (Root* r = find_root(addr); r && !r->subtree.empty()) {
-        r->win.on_supersede();  // branch is not draining: halve its pace
+        r->win.on_loss();  // branch is not draining: halve its pace
         for (net::Address m : r->subtree) {
           auto ms = subs_.find(m);
           if (ms == subs_.end() || ms->second.down) continue;
@@ -530,8 +528,8 @@ void ControlPlane::on_view_ack(const ViewAckMsg& m) {
   if (s.acked >= s.expected) laggards_.erase(m.subscriber);
   if (m.agg_count > 1) acks_aggregated_ += m.agg_count - 1;
   if (Root* r = find_root(m.subscriber)) {
-    r->win.on_ack(m.epoch, m.agg_count);
-    if (r->queued_wave && r->win.can_send()) {
+    r->win.on_ack(r->mark.on_ack(m.epoch, m.agg_count));
+    if (r->queued_wave && r->win.allows(r->mark.in_flight)) {
       send_wave_to_root(*r);  // drain the deferred wave
       if (r->basis == view_.epoch) last_tree_epoch_ = view_.epoch;
     }

@@ -61,6 +61,7 @@
 #include "cluster/protocol.h"
 #include "cluster/relay.h"
 #include "core/adaptive_p.h"
+#include "core/cc.h"
 #include "core/cluster_view.h"
 #include "core/membership.h"
 
@@ -210,7 +211,8 @@ class ControlPlane {
     net::Address addr = 0;
     std::vector<net::Address> subtree;  // its relay_targets
     uint64_t basis = 0;  // newest epoch sent down this branch
-    relay::Window win;
+    core::AimdWindow win{relay::kWindowInitial, relay::kWindowMax};
+    relay::Watermark mark;
     bool queued_wave = false;  // a wave deferred by the AIMD window
   };
 

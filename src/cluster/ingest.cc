@@ -38,12 +38,19 @@ void issue_random_ingest_op(IngestRouter& router, Rng& rng,
 
 // ------------------------------------------------------------------ router
 
+// Retransmit law: each timeout doubles an op's RTO, up to kRtoMaxS; after
+// kRetransmitMax resends the op is left to anti-entropy.
+constexpr double kRtoBackoff = 2.0;
+constexpr double kRtoMaxS = 1.0;
+constexpr uint32_t kRetransmitMax = 6;
+
 IngestRouter::IngestRouter(net::Transport& net, IngestConfig cfg,
                            uint64_t seed,
                            std::shared_ptr<const MatchEngine> engine,
                            RingProvider ring, PProvider safe_p)
     : net_(net),
       cfg_(cfg),
+      initial_window_(cfg.window_initial, cfg.window_max),
       engine_(std::move(engine)),
       ring_(std::move(ring)),
       safe_p_(std::move(safe_p)),
@@ -143,42 +150,24 @@ void IngestRouter::commit(UpdateMsg op) {
 
   apply_to_reference(op);
 
-  uint64_t lsn = op.lsn;
-  for (NodeId id : replicas_of(shard)) offer(id, shard, lsn);
+  for (NodeId id : replicas_of(shard)) {
+    Peer& p = peer(id);
+    p.queue.emplace_back(shard, op.lsn);
+    pump(id, p);
+  }
 }
 
 // --------------------------------------------------------- flow control
 
 IngestRouter::Peer& IngestRouter::peer(NodeId id) {
-  auto [it, fresh] = peers_.try_emplace(id);
-  if (fresh) it->second.cwnd = std::max(1.0, cfg_.window_initial);
-  return it->second;
+  return peers_.try_emplace(id, initial_window_).first->second;
 }
 
 IngestRouter::FlowStats IngestRouter::flow(NodeId node) const {
   auto it = peers_.find(node);
-  if (it == peers_.end()) {
-    return {std::max(1.0, cfg_.window_initial), 0, 0};
-  }
-  return {it->second.cwnd, it->second.outstanding.size(),
+  if (it == peers_.end()) return {initial_window_.cwnd(), 0, 0};
+  return {it->second.win.cwnd(), it->second.outstanding.size(),
           it->second.queue.size()};
-}
-
-void IngestRouter::offer(NodeId to, uint32_t shard, uint64_t lsn) {
-  Peer& p = peer(to);
-  if (p.outstanding.size() < static_cast<size_t>(p.cwnd)) {
-    if (send_logged(to, shard, lsn)) {
-      OutOp out;
-      out.sent_at = net_.clock().now();
-      out.rto_s = cfg_.rto_initial_s;
-      p.outstanding[{shard, lsn}] = out;
-      arm_retransmit();
-    } else {
-      ++flow_abandoned_;  // trimmed already; anti-entropy's problem
-    }
-  } else {
-    p.queue.emplace_back(shard, lsn);
-  }
 }
 
 bool IngestRouter::send_logged(NodeId to, uint32_t shard, uint64_t lsn) {
@@ -191,18 +180,15 @@ bool IngestRouter::send_logged(NodeId to, uint32_t shard, uint64_t lsn) {
 }
 
 void IngestRouter::pump(NodeId id, Peer& p) {
-  while (!p.queue.empty() &&
-         p.outstanding.size() < static_cast<size_t>(p.cwnd)) {
+  while (!p.queue.empty() && p.win.allows(p.outstanding.size())) {
     auto [shard, lsn] = p.queue.front();
     p.queue.pop_front();
     if (lsn <= acked_lsn(shard, id)) continue;  // acked while queued
     if (send_logged(id, shard, lsn)) {
-      OutOp out;
-      out.sent_at = net_.clock().now();
-      out.rto_s = cfg_.rto_initial_s;
-      p.outstanding[{shard, lsn}] = out;
+      p.outstanding[{shard, lsn}] = {net_.clock().now(), cfg_.rto_initial_s,
+                                     0};
     } else {
-      ++flow_abandoned_;
+      ++flow_abandoned_;  // trimmed already; anti-entropy's problem
     }
   }
   if (!p.outstanding.empty()) arm_retransmit();
@@ -218,7 +204,6 @@ void IngestRouter::arm_retransmit() {
 void IngestRouter::retransmit_scan() {
   retransmit_armed_ = false;
   double now = net_.clock().now();
-  bool any_outstanding = false;
   for (auto& [id, p] : peers_) {
     bool lost = false;
     for (auto it = p.outstanding.begin(); it != p.outstanding.end();) {
@@ -229,8 +214,7 @@ void IngestRouter::retransmit_scan() {
       }
       lost = true;
       auto [shard, lsn] = it->first;
-      if (out.retries >= cfg_.retransmit_max ||
-          !send_logged(id, shard, lsn)) {
+      if (out.retries >= kRetransmitMax || !send_logged(id, shard, lsn)) {
         ++flow_abandoned_;  // retry budget spent or log trimmed
         it = p.outstanding.erase(it);
         continue;
@@ -238,19 +222,17 @@ void IngestRouter::retransmit_scan() {
       ++retransmits_;
       ++out.retries;
       out.sent_at = now;
-      out.rto_s = std::min(cfg_.rto_max_s, out.rto_s * cfg_.rto_backoff);
+      out.rto_s = std::min(kRtoMaxS, out.rto_s * kRtoBackoff);
       ++it;
     }
     if (lost) {
       // One multiplicative decrease per peer per scan, however many ops
       // timed out together — a loss EVENT, not a per-packet penalty.
       ++loss_events_;
-      p.cwnd = std::max(1.0, p.cwnd * cfg_.window_beta);
+      p.win.on_loss();
     }
-    pump(id, p);
-    any_outstanding = any_outstanding || !p.outstanding.empty();
+    pump(id, p);  // re-arms the scan while anything is outstanding
   }
-  if (any_outstanding) arm_retransmit();
 }
 
 void IngestRouter::apply_to_reference(const UpdateMsg& op) {
@@ -323,13 +305,7 @@ void IngestRouter::on_ack(const UpdateAckMsg& m) {
     it = p.outstanding.erase(it);
     ++cleared;
   }
-  if (cleared > 0) {
-    // Additive increase, ack-paced: +window_additive per full window's
-    // worth of clean credit returns.
-    p.cwnd = std::min(cfg_.window_max,
-                      p.cwnd + cfg_.window_additive * cleared /
-                                   std::max(1.0, p.cwnd));
-  }
+  p.win.on_ack(static_cast<double>(cleared));
   pump(m.node, p);
 }
 

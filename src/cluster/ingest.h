@@ -57,6 +57,7 @@
 #include "cluster/match_engine.h"
 #include "cluster/protocol.h"
 #include "common/rng.h"
+#include "core/cc.h"
 #include "core/reconfig.h"
 #include "core/tracer.h"
 #include "net/transport.h"
@@ -79,23 +80,17 @@ struct IngestConfig {
 
   // --- flow control (windowed, credit-based write path) -------------------
   // Replication window: outstanding unacked UPDATEs per destination node
-  // are capped by an AIMD congestion window in [1, window_max]. Additive
-  // increase per clean credit return (≈ +window_additive per window's
-  // worth of acks), multiplicative decrease by window_beta on a
-  // retransmit timeout. Ops beyond the window queue at the router and
-  // drain as UPDATE_ACK watermarks return credit.
+  // are capped by the AIMD window of core/cc.h, in [1, window_max]. Each
+  // UPDATE an ack watermark clears is one credit; a retransmit timeout is
+  // a loss. Ops beyond the window queue at the router and drain as
+  // UPDATE_ACK watermarks return credit.
   double window_initial = 4.0;
   double window_max = 64.0;
-  double window_additive = 1.0;
-  double window_beta = 0.5;
-  // Per-op retransmit: an unacked UPDATE is resent after its RTO
-  // (doubling from rto_initial_s up to rto_max_s) at most retransmit_max
-  // times, then abandoned to anti-entropy. The scan timer runs every
+  // Per-op retransmit: an unacked UPDATE is resent after its RTO (doubling
+  // from rto_initial_s, capped in ingest.cc) a bounded number of times,
+  // then abandoned to anti-entropy. The scan timer runs every
   // retransmit_tick_s while anything is outstanding.
   double rto_initial_s = 0.05;
-  double rto_backoff = 2.0;
-  double rto_max_s = 1.0;
-  uint32_t retransmit_max = 6;
   double retransmit_tick_s = 0.025;
   // Sync chunk budget: one SYNC_DATA reply carries at most sync_chunk_ops
   // ops and stops growing once sync_chunk_bytes of encoded op payload is
@@ -223,7 +218,8 @@ class IngestRouter {
   // Per-destination congestion state. `outstanding` is keyed (shard, lsn)
   // so an UPDATE_ACK's watermark clears every covered entry in one sweep.
   struct Peer {
-    double cwnd = 1.0;
+    explicit Peer(core::AimdWindow w) : win(w) {}
+    core::AimdWindow win;
     std::map<std::pair<uint32_t, uint64_t>, OutOp> outstanding;
     std::deque<std::pair<uint32_t, uint64_t>> queue;
   };
@@ -238,11 +234,10 @@ class IngestRouter {
   std::vector<NodeId> replicas_of(uint32_t shard) const;
   // --- flow control -------------------------------------------------------
   Peer& peer(NodeId id);
-  // Window-gated replication of one committed op to one destination.
-  void offer(NodeId to, uint32_t shard, uint64_t lsn);
   // Sends from the retained log; false when the LSN was trimmed away.
   bool send_logged(NodeId to, uint32_t shard, uint64_t lsn);
-  // Drains the peer's queue into the (possibly re-grown) window.
+  // Drains the peer's queue into the (possibly re-grown) window; the one
+  // place an op is first sent (commit queues each op, then pumps).
   void pump(NodeId id, Peer& p);
   void arm_retransmit();
   void retransmit_scan();
@@ -252,6 +247,7 @@ class IngestRouter {
 
   net::Transport& net_;
   IngestConfig cfg_;
+  core::AimdWindow initial_window_;  // every peer's starting window
   std::shared_ptr<const MatchEngine> engine_;
   RingProvider ring_;
   PProvider safe_p_;

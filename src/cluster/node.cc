@@ -440,15 +440,14 @@ void NodeRuntime::take_relay_duty(const ViewDeltaMsg& m) {
   next.reserve(branches.size());
   for (auto& b : branches) {
     RelayChild c;
-    c.addr = b.head;
-    c.targets = std::move(b.rest);
     for (RelayChild& old : children_) {
-      if (old.addr == c.addr) {
-        c.win = old.win;
-        c.queued = std::move(old.queued);
+      if (old.addr == b.head) {
+        c = std::move(old);
         break;
       }
     }
+    c.addr = b.head;
+    c.targets = std::move(b.rest);
     next.push_back(std::move(c));
   }
   children_ = std::move(next);
@@ -456,13 +455,10 @@ void NodeRuntime::take_relay_duty(const ViewDeltaMsg& m) {
 }
 
 void NodeRuntime::forward_to_child(RelayChild& c, const core::ViewDelta& d) {
-  if (!c.win.can_send()) {
+  if (!c.win.allows(c.mark.in_flight)) {
     // Bounded buffer of one: a newer wave supersedes a queued older one —
-    // the signal this child is not draining, halve its window.
-    if (c.queued) {
-      ++relay_supersessions_;
-      c.win.on_supersede();
-    }
+    // the loss signal that this child is not draining.
+    if (c.queued) c.win.on_loss();
     c.queued = d;
     return;
   }
@@ -472,15 +468,15 @@ void NodeRuntime::forward_to_child(RelayChild& c, const core::ViewDelta& d) {
   fwd.relay_fanout = c.targets.empty() ? 0 : relay_fanout_;
   fwd.relay_targets = c.targets;
   net_.send(address(), c.addr, fwd.encode());
-  c.win.on_sent(d.epoch);
+  c.mark.on_sent(d.epoch);
   ++deltas_relayed_;
 }
 
 void NodeRuntime::on_child_ack(const ViewAckMsg& m) {
   for (RelayChild& c : children_) {
     if (c.addr != m.subscriber) continue;
-    c.win.on_ack(m.epoch, m.agg_count);
-    if (c.queued && c.win.can_send()) {
+    c.win.on_ack(c.mark.on_ack(m.epoch, m.agg_count));
+    if (c.queued && c.win.allows(c.mark.in_flight)) {
       core::ViewDelta d = std::move(*c.queued);
       c.queued.reset();
       forward_to_child(c, d);
@@ -497,8 +493,8 @@ void NodeRuntime::maybe_send_ack() {
   uint64_t wm = sub_.epoch();
   uint32_t agg = 1;
   for (const RelayChild& c : children_) {
-    wm = std::min(wm, c.win.acked);
-    agg += c.win.agg;
+    wm = std::min(wm, c.mark.acked);
+    agg += c.mark.agg;
   }
   if (wm == 0 || wm < ack_reported_) return;
   ack_reported_ = wm;

@@ -35,6 +35,7 @@
 #include "cluster/protocol.h"
 #include "cluster/relay.h"
 #include "common/metrics.h"
+#include "core/cc.h"
 #include "core/cluster_view.h"
 #include "core/tracer.h"
 #include "core/reconfig.h"
@@ -146,11 +147,9 @@ class NodeRuntime {
   // The node's replicated control state.
   uint64_t view_epoch() const { return sub_.epoch(); }
   // Dissemination-tree diagnostics: view deltas forwarded to relay
-  // children, aggregated acks sent upward (covering > 1 subscriber), and
-  // queued forwards superseded by a newer wave (the AIMD halving signal).
+  // children and aggregated acks sent upward (covering > 1 subscriber).
   uint64_t deltas_relayed() const { return deltas_relayed_; }
   uint64_t acks_aggregated() const { return acks_aggregated_; }
-  uint64_t relay_supersessions() const { return relay_supersessions_; }
   // Interest registrations sent to the control plane (kViewInterest).
   uint64_t interests_sent() const { return interests_sent_; }
   // Batching diagnostics: drain wakeups and sub-queries they carried.
@@ -198,7 +197,8 @@ class NodeRuntime {
   struct RelayChild {
     net::Address addr = 0;
     std::vector<net::Address> targets;
-    relay::Window win;
+    core::AimdWindow win{relay::kWindowInitial, relay::kWindowMax};
+    relay::Watermark mark;
     std::optional<core::ViewDelta> queued;
   };
 
@@ -279,7 +279,6 @@ class NodeRuntime {
   uint64_t ack_reported_ = 0;  // newest watermark sent upward (monotone)
   uint64_t deltas_relayed_ = 0;
   uint64_t acks_aggregated_ = 0;
-  uint64_t relay_supersessions_ = 0;
   // Interest registration: the arc last sent to the control plane (2×
   // slack around the needed region, hysteresis against churn). Cleared on
   // restart/gap so a possibly-lost registration is re-sent.

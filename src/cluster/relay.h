@@ -8,13 +8,12 @@
 // rule, so one sorted, epoch-rotated target list at the root determines
 // the whole tree — no per-hop membership state, depth O(log_k N).
 //
-// Forwarding is paced per child with an AIMD window in the spirit of the
-// replication path's congestion control: one additive window increment
-// per ack, a multiplicative halving when a queued delta gets superseded
-// (the bounded-buffer signal that the child is falling behind). The
-// buffer holds at most one deferred wave — a newer delta supersedes an
-// older queued one, never queues behind it — so relay memory stays O(k)
-// no matter how fast epochs are published.
+// Forwarding is paced per child by the one AIMD window (core/cc.h): each
+// ack returns the waves it clears as credits, and a queued delta getting
+// superseded (the bounded-buffer signal that the child is falling behind)
+// counts as a loss. The buffer holds at most one deferred wave — a newer
+// delta supersedes an older queued one, never queues behind it — so relay
+// memory stays O(k) no matter how fast epochs are published.
 #pragma once
 
 #include <algorithm>
@@ -35,35 +34,34 @@ struct Branch {
 std::vector<Branch> split(const std::vector<net::Address>& targets,
                           uint32_t fanout);
 
-// Per-child AIMD send window. `acked`/`agg` double as the child's latest
-// aggregated watermark for upward ack aggregation.
-struct Window {
-  uint32_t window = 8;       // deltas allowed in flight
+// Every relay hop starts each child's window here (core::AimdWindow).
+inline constexpr double kWindowInitial = 8;
+inline constexpr double kWindowMax = 64;
+
+// Per-child send watermarks: waves in flight for the window's gate, and
+// the child's latest aggregated watermark for upward ack aggregation.
+struct Watermark {
   uint32_t in_flight = 0;
-  uint64_t sent_epoch = 0;   // newest epoch pushed to this child
-  uint64_t acked = 0;        // child's newest (aggregated) watermark
-  uint32_t agg = 0;          // subscribers that watermark covers (0 = none)
+  uint64_t sent_epoch = 0;  // newest epoch pushed to this child
+  uint64_t acked = 0;       // child's newest (aggregated) watermark
+  uint32_t agg = 0;         // subscribers that watermark covers (0 = none)
 
-  static constexpr uint32_t kMax = 64;
-
-  bool can_send() const { return in_flight < window; }
   void on_sent(uint64_t epoch) {
     ++in_flight;
     sent_epoch = std::max(sent_epoch, epoch);
   }
-  void on_ack(uint64_t epoch, uint32_t agg_count) {
+  // Records the child's ack; returns the waves it cleared (the credits).
+  uint32_t on_ack(uint64_t epoch, uint32_t agg_count) {
     acked = std::max(acked, epoch);
     agg = agg_count;
+    uint32_t before = in_flight;
     if (acked >= sent_epoch) {
       in_flight = 0;  // everything outstanding is covered by this watermark
     } else if (in_flight > 0) {
       --in_flight;
     }
-    window = std::min(window + 1, kMax);
+    return before - in_flight;
   }
-  // A queued wave was superseded before the child drained its window: the
-  // child is not keeping up, halve.
-  void on_supersede() { window = std::max<uint32_t>(1, window / 2); }
 };
 
 }  // namespace roar::cluster::relay
