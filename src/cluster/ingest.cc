@@ -441,10 +441,7 @@ void IngestLog::apply(const UpdateMsg& m, bool charge) {
 void IngestLog::on_update(const UpdateMsg& m) {
   if (m.shard >= cfg_.shards) return;
   ShardState& st = shards_[m.shard];
-  if (m.lsn <= st.applied) {
-    ++duplicates_dropped_;
-    return;
-  }
+  if (m.lsn <= st.applied) return;  // duplicate
   if (m.lsn == st.applied + 1) {
     apply(m);
     st.applied = m.lsn;
@@ -454,18 +451,13 @@ void IngestLog::on_update(const UpdateMsg& m) {
   // Gap: a predecessor was lost or is still in flight. Buffer, and ask
   // the router once per gap episode (the periodic sync covers the rest).
   bool first_gap = st.pending.empty();
-  buffer_pending(st, m, true);
+  buffer_pending(st, m);
   if (first_gap) request_sync(m.shard);
 }
 
-void IngestLog::buffer_pending(ShardState& st, const UpdateMsg& m,
-                               bool count_gap) {
-  if (st.pending.count(m.lsn)) {
-    ++duplicates_dropped_;
-    return;
-  }
+void IngestLog::buffer_pending(ShardState& st, const UpdateMsg& m) {
+  if (st.pending.count(m.lsn)) return;  // duplicate
   st.pending[m.lsn] = m;
-  if (count_gap) ++gaps_buffered_;
   size_t cap = std::max<size_t>(1, cfg_.pending_cap);
   if (st.pending.size() > cap) {
     // At the cap, drop the LARGEST buffered LSN (possibly the one just
@@ -559,7 +551,6 @@ void IngestLog::on_sync_data(const SyncDataMsg& m) {
     // the LSN already past its issued_lsn, anti-entropy would never
     // notice the divergence. Drop it; a fresher reply is on its way.
     if (m.issued_lsn < st.applied) {
-      ++stale_syncs_dropped_;
       if (st.full_active && st.full_gen <= st.applied) {
         // The stream we were accumulating is itself stale — abandon it
         // rather than re-requesting chunks of a dead generation.
@@ -574,16 +565,13 @@ void IngestLog::on_sync_data(const SyncDataMsg& m) {
     // reorder, a chunk of a superseded generation — is dropped, and the
     // resume fields in the next SYNC_REQ re-fetch from the right offset.
     if (!st.full_active || st.full_gen != m.issued_lsn) {
-      if (m.chunk_offset != 0) {
-        ++sync_chunks_dropped_;  // mid-stream chunk of a stream we are
-        return;                  // not accumulating
-      }
+      // A mid-stream chunk of a stream we are not accumulating.
+      if (m.chunk_offset != 0) return;
       if (full_stream_busy(m.shard)) {
         // Per-replica credit: one full-segment stream at a time, so the
         // pacing delay bounds the NODE's resync duty cycle no matter how
         // many shards need catching up. Defer this shard; it restarts
         // when the active stream finishes (or at the next sync tick).
-        ++sync_chunks_dropped_;
         full_wait_.insert(m.shard);
         return;
       }
@@ -594,7 +582,6 @@ void IngestLog::on_sync_data(const SyncDataMsg& m) {
       st.full_buf.clear();
     } else if (m.chunk_offset != st.full_buf.size() ||
                m.total_ops != st.full_total) {
-      ++sync_chunks_dropped_;
       return;
     }
     st.full_buf.insert(st.full_buf.end(), m.ops.begin(), m.ops.end());
@@ -622,13 +609,11 @@ void IngestLog::on_sync_data(const SyncDataMsg& m) {
     kick_full_wait();
   } else {
     for (const auto& op : m.ops) {
-      if (op.lsn <= st.applied) {
-        ++duplicates_dropped_;
-      } else if (op.lsn == st.applied + 1) {
+      if (op.lsn == st.applied + 1) {
         apply(op);
         st.applied = op.lsn;
-      } else {
-        buffer_pending(st, op, false);
+      } else if (op.lsn > st.applied) {
+        buffer_pending(st, op);
       }
     }
   }
@@ -677,7 +662,6 @@ void IngestLog::drain_and_ack(uint32_t shard) {
   while (!st.pending.empty()) {
     auto it = st.pending.begin();
     if (it->first <= st.applied) {
-      ++duplicates_dropped_;
       st.pending.erase(it);
     } else if (it->first == st.applied + 1) {
       apply(it->second);

@@ -320,11 +320,8 @@ class IngestLog {
   std::map<uint32_t, uint64_t> applied() const;
 
   uint64_t ops_applied() const { return ops_applied_; }
-  uint64_t duplicates_dropped() const { return duplicates_dropped_; }
-  uint64_t gaps_buffered() const { return gaps_buffered_; }
   uint64_t syncs_requested() const { return syncs_requested_; }
   uint64_t full_segments_applied() const { return full_segments_applied_; }
-  uint64_t stale_syncs_dropped() const { return stale_syncs_dropped_; }
   // Out-of-order buffer accounting: evictions past pending_cap, and the
   // buffer-size high-water mark (always <= pending_cap — the bounded-
   // buffer invariant the chaos soak asserts).
@@ -333,7 +330,6 @@ class IngestLog {
   size_t pending_size(uint32_t shard) const;
   // Chunked full-segment transfer accounting.
   uint64_t full_chunks_received() const { return full_chunks_received_; }
-  uint64_t sync_chunks_dropped() const { return sync_chunks_dropped_; }
 
  private:
   struct ShardState {
@@ -357,7 +353,7 @@ class IngestLog {
   // replica's base segment).
   void apply_full_segment(uint32_t shard, std::span<const UpdateMsg> ops);
   // Capped out-of-order insert; evicts the largest LSN past pending_cap.
-  void buffer_pending(ShardState& st, const UpdateMsg& m, bool count_gap);
+  void buffer_pending(ShardState& st, const UpdateMsg& m);
   // Applies buffered ops that became contiguous; acks the new watermark.
   void drain_and_ack(uint32_t shard);
   // Carries the chunk-resume fields when a full-segment stream is active.
@@ -388,15 +384,11 @@ class IngestLog {
   uint64_t timer_id_ = 0;
   bool running_ = false;
   uint64_t ops_applied_ = 0;
-  uint64_t duplicates_dropped_ = 0;
-  uint64_t gaps_buffered_ = 0;
   uint64_t syncs_requested_ = 0;
   uint64_t full_segments_applied_ = 0;
-  uint64_t stale_syncs_dropped_ = 0;
   uint64_t pending_evictions_ = 0;
   size_t pending_hwm_ = 0;
   uint64_t full_chunks_received_ = 0;
-  uint64_t sync_chunks_dropped_ = 0;
   // Shards whose full-segment catch-up is deferred behind the one
   // active stream (per-replica serialization).
   std::set<uint32_t> full_wait_;

@@ -92,7 +92,9 @@ class MultiPredicateQuery {
     // predicate-evaluation counts to calling match() per item in order —
     // the sampling phase runs item-by-item (so the ordering decision sees
     // the same counts), then the ordered phase runs predicate-major with
-    // survivor compaction, feeding each predicate's batch kernel.
+    // survivor compaction, feeding each predicate's batch kernel. A
+    // single-predicate query is that predicate's batch kernel; no call
+    // allocates.
     void match_batch(std::span<const EncryptedFileMetadata* const> items,
                      uint8_t* results, MatchCost* cost);
 

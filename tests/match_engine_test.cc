@@ -13,8 +13,11 @@
 #include <thread>
 #include <vector>
 
+#include "common/rng.h"
 #include "pps/aes128.h"
+#include "pps/corpus.h"
 #include "pps/sha1.h"
+#include "pps/versioned_store.h"
 
 namespace roar::cluster {
 namespace {
@@ -130,6 +133,79 @@ TEST(MatchEngineTest, ConcurrentEncryptDocumentMatchesSerial) {
   for (int t = 0; t < kThreads; ++t) {
     EXPECT_EQ(got[t], serial) << "thread " << t;
   }
+}
+
+
+// The overlay scan walks each sorted extent and the sorted tombstones in
+// step. Its counts must equal a reference that filters every stored item
+// with is_dead and matches it on its own, with tombstones on extent ends,
+// in an arc that wraps past zero, on delta documents, and on ids that
+// were never stored (a delete that raced ahead of its add).
+TEST(MatchEngineTest, OverlayScanSkipsTombstonesLikeIsDead) {
+  const MatchEngineConfig cfg = small_engine();
+  MatchEngine engine(cfg);
+  pps::MetadataEncoder enc(pps::SecretKey::from_seed(cfg.encoder_seed),
+                           pps::MetadataEncoderParams::keyword_only());
+  const auto query = enc.prepare(
+      enc.keyword_query(pps::CorpusGenerator::word(cfg.query_word_rank)));
+  const auto& base = engine.base_store()->items();
+  ASSERT_EQ(base.size(), 500u);
+
+  pps::VersionedStore store(engine.base_store());
+  Rng rng(3);
+  std::vector<RingId> added;
+  for (uint64_t k = 0; k < 40; ++k) {
+    added.push_back(rng.next_ring_id());
+    store.add(engine.encrypt_document(
+        pps::CorpusGenerator::sample_document(k), added.back(), k + 1));
+  }
+  auto after = [](RingId id) { return RingId(id.raw() + 1); };
+  // Ends of the straight window's extent, ends of both extents of the
+  // wrapping window, one inside each, a delta document, and three ids no
+  // store holds.
+  for (size_t i : {100, 150, 199, 480, 490, 499, 0, 19}) {
+    store.remove(base[i].id);
+  }
+  store.remove(added[7]);
+  store.remove(after(base[120].id));
+  store.remove(after(base[495].id));
+  store.remove(after(base[300].id));
+
+  MatchEngine::Window straight;
+  straight.arc = Arc(base[100].id, base[100].id.distance_to(base[200].id));
+  MatchEngine::Window wrapping;
+  wrapping.arc = Arc(base[480].id, base[480].id.distance_to(base[20].id));
+  MatchEngine::Window whole;
+  whole.whole = true;
+
+  auto snap = store.snapshot();
+  // Also counts the stored items the window covers, dead or alive.
+  uint64_t stored = 0;
+  auto reference = [&](const MatchEngine::Window& w) {
+    MatchEngine::Result r;
+    stored = 0;
+    for (const auto* segment : {snap->base.get(), snap->delta.get()}) {
+      for (const auto& item : segment->items()) {
+        if (!w.whole && !w.arc.contains(item.id)) continue;
+        ++stored;
+        if (snap->is_dead(item.id)) continue;
+        ++r.scanned;
+        r.matches += enc.match(item, query) ? 1 : 0;
+      }
+    }
+    return r;
+  };
+  uint64_t matches = 0;
+  for (const auto* w : {&straight, &wrapping, &whole}) {
+    const MatchEngine::Result want = reference(*w);
+    const MatchEngine::Result got = engine.execute(*w, *snap);
+    EXPECT_EQ(got.scanned, want.scanned);
+    EXPECT_EQ(got.matches, want.matches);
+    EXPECT_LE(want.scanned + 3, stored) << "tombstones in the window";
+    matches += got.matches;
+  }
+  EXPECT_EQ(reference(whole).scanned, snap->live_size());
+  EXPECT_GT(matches, 0u);
 }
 
 }  // namespace
