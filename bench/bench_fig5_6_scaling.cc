@@ -24,9 +24,6 @@ int main() {
     pps::MetadataStore::RangeSlice slice;
     slice.extents.emplace_back(0, count);
     slice.count = count;
-    for (size_t i = 0; i < count; ++i) {
-      slice.bytes += fx.store.items()[i].byte_size();
-    }
 
     pps::PipelineConfig disk = pps::pps_lm_config();
     disk.source = pps::SourceMode::kColdDisk;

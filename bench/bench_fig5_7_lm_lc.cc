@@ -23,9 +23,6 @@ int main() {
     pps::MetadataStore::RangeSlice slice;
     slice.extents.emplace_back(0, count);
     slice.count = count;
-    for (size_t i = 0; i < count; ++i) {
-      slice.bytes += fx.store.items()[i].byte_size();
-    }
     // CPU-bound single matcher thread (the X4100 regime of §5.7.2).
     pps::PipelineConfig lm = pps::pps_lm_config();
     lm.source = pps::SourceMode::kMemory;

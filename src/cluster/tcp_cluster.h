@@ -7,11 +7,15 @@
 // A TcpDriver runs every socket and timer. With one reactor shard the
 // harness is single-threaded, like an event-driven deployment compressed
 // into one process; with more, nodes spread over shard threads while the
-// control endpoint stays on the caller-driven shard 0. Node "matching
-// work" follows the same Definition-8 cost model as the emulation
-// (service time is modeled, then actually elapses on the wall clock
-// before the reply is sent), which is what makes the InProc-vs-TCP parity
-// test able to demand identical query outcomes.
+// control endpoint stays on the caller-driven shard 0. By default a
+// node's "matching work" follows the same Definition-8 cost model as the
+// emulation (service time is modeled, then actually elapses on the wall
+// clock before the reply is sent), which is what makes the InProc-vs-TCP
+// parity test able to demand identical query outcomes. With real
+// matching (`real_matching`, implied by `enable_ingest`) a node replies
+// as soon as its scan of the encrypted corpus ends and reports the
+// measured scan CPU time plus `subquery_overhead_s` as the service time;
+// no modeled time elapses.
 #pragma once
 
 #include <memory>

@@ -59,7 +59,7 @@ TcpListener* as_listener(void* tag) {
 // ---------------------------------------------------------- TcpConnection
 
 TcpConnection::TcpConnection(TcpReactor& reactor, int fd, uint64_t id)
-    : reactor_(reactor), fd_(fd), id_(id) {}
+    : reactor_(reactor), fd_(fd), id_(id), interest_(EPOLLIN) {}
 
 TcpConnection::~TcpConnection() {
   if (fd_ >= 0) {
@@ -148,7 +148,10 @@ void TcpConnection::update_interest() {
   if (fd_ < 0) return;
   uint32_t ev = EPOLLIN;
   if (!outq_.empty()) ev |= EPOLLOUT;
+  if (ev == interest_) return;
+  interest_ = ev;
   reactor_.mod_fd(fd_, ev, conn_tag(this));
+  reactor_.interest_changes_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void TcpConnection::handle_readable() {
@@ -158,6 +161,7 @@ void TcpConnection::handle_readable() {
     auto space = decoder_.rx_space(reactor_.buf_pool_, kMinRxSpace);
     ssize_t n = ::recv(fd_, space.data(), space.size(), 0);
     if (n > 0) {
+      read_any_ = true;
       decoder_.commit(static_cast<size_t>(n));
       while (auto p = decoder_.next_view()) {
         if (on_payload_) on_payload_(*this, std::move(*p));
@@ -174,6 +178,12 @@ void TcpConnection::handle_readable() {
     close();  // peer closed or error
     return;
   }
+}
+
+bool TcpConnection::peek_start(uint8_t* out, size_t n) const {
+  if (fd_ < 0 || read_any_) return false;
+  ssize_t got = ::recv(fd_, out, n, MSG_PEEK | MSG_DONTWAIT);
+  return got == static_cast<ssize_t>(n);
 }
 
 // ------------------------------------------------------------ TcpListener
@@ -213,7 +223,7 @@ TcpListener::~TcpListener() {
   std::erase(reactor_.listeners_, this);
 }
 
-void TcpListener::handle_readable() {
+void TcpListener::accept_pending() {
   while (true) {
     int cfd = ::accept(fd_, nullptr, nullptr);
     if (cfd < 0) break;
@@ -263,16 +273,17 @@ void TcpReactor::flush_dirty() {
   if (dirty_.empty()) return;
   // Swap out the list: flushing can re-dirty a connection (EAGAIN path
   // keeps bytes queued) — those get EPOLLOUT interest instead of a
-  // respin here.
-  std::vector<uint64_t> batch;
-  batch.swap(dirty_);
-  for (uint64_t id : batch) {
+  // respin here. Both vectors keep their capacity across rounds, so
+  // mark_dirty does not allocate in the steady state.
+  flushing_.swap(dirty_);
+  for (uint64_t id : flushing_) {
     auto it = conns_.find(id);
     if (it == conns_.end()) continue;  // closed and reaped meanwhile
     TcpConnection& c = *it->second;
     c.dirty_ = false;
     if (!c.closed()) c.flush();
   }
+  flushing_.clear();
 }
 
 void TcpReactor::add_fd(int fd, uint32_t events, void* tag) {
@@ -344,7 +355,7 @@ size_t TcpReactor::poll(int timeout_ms, const std::function<bool()>& has_work) {
       continue;
     }
     if (is_listener(tag)) {
-      as_listener(tag)->handle_readable();
+      as_listener(tag)->accept_pending();
       ++handled;
       continue;
     }

@@ -17,8 +17,9 @@
 // connection dirty; the reactor gathers every frame queued on a connection
 // during a poll round into one writev() call (bounded by a flush budget),
 // so N sub-query replies cost one syscall instead of N. Connections whose
-// sockets push back (EAGAIN) fall back to EPOLLOUT-driven flushing, same
-// as before.
+// sockets push back (EAGAIN) fall back to EPOLLOUT-driven flushing. Each
+// connection caches the event mask it registered, so epoll_ctl runs only
+// when EPOLLOUT has to be added or removed, not after every writev.
 //
 // Cross-thread wakeup: notify() is the only thread-safe entry point. The
 // eventfd write is elided unless the poller is actually parked inside
@@ -71,12 +72,18 @@ class TcpConnection {
   // zero-extra-copy TX path. The buffer is recycled after it is written.
   void send_framed(Bytes framed);
   // Writes as much of the queue as the socket accepts (writev, bounded by
-  // the per-call flush budget) and updates EPOLLOUT interest.
+  // the per-call flush budget) and adds or drops EPOLLOUT interest when
+  // the queue's emptiness changed it.
   void flush();
   void close();
 
   // Pending (queued, unsent) bytes — for tests and backpressure checks.
   size_t pending_bytes() const { return pending_bytes_; }
+
+  // Copies the first `n` bytes of the incoming stream into `out` without
+  // consuming them. False once anything has been read from the socket, or
+  // while the kernel holds fewer than `n` bytes.
+  bool peek_start(uint8_t* out, size_t n) const;
 
   void set_payload_handler(PayloadHandler h) { on_payload_ = std::move(h); }
   void set_close_handler(CloseHandler h) { on_close_ = std::move(h); }
@@ -96,6 +103,8 @@ class TcpConnection {
   size_t out_off_ = 0;       // bytes of outq_.front() already written
   size_t pending_bytes_ = 0; // total unsent bytes across outq_
   bool dirty_ = false;       // queued for the reactor's next flush round
+  bool read_any_ = false;    // a recv has returned bytes
+  uint32_t interest_;        // epoll mask registered for fd_
   PayloadHandler on_payload_;
   CloseHandler on_close_;
 };
@@ -109,11 +118,13 @@ class TcpListener {
   TcpListener(TcpReactor& reactor, uint16_t port, AcceptHandler on_accept);
   ~TcpListener();
   uint16_t port() const { return port_; }
+  // Accepts every connection waiting in the backlog, running the accept
+  // handler for each. The reactor calls it when the listener is readable;
+  // a caller on the reactor's thread may call it to see peers that
+  // connected since the last poll.
+  void accept_pending();
 
  private:
-  friend class TcpReactor;
-  void handle_readable();
-
   TcpReactor& reactor_;
   int fd_;
   uint16_t port_;
@@ -161,6 +172,10 @@ class TcpReactor {
   uint64_t frames_flushed() const {
     return frames_flushed_.load(std::memory_order_relaxed);
   }
+  // epoll_ctl(MOD) calls made to add or drop EPOLLOUT interest.
+  uint64_t interest_changes() const {
+    return interest_changes_.load(std::memory_order_relaxed);
+  }
   // notify() calls that skipped the eventfd because the poller was awake.
   uint64_t wakeups_elided() const {
     return wakeups_elided_.load(std::memory_order_relaxed);
@@ -188,10 +203,12 @@ class TcpReactor {
   std::vector<TcpListener*> listeners_;
   std::vector<uint64_t> doomed_;  // connections to destroy after poll
   std::vector<uint64_t> dirty_;   // connections with frames to flush
+  std::vector<uint64_t> flushing_;  // flush_dirty's batch; keeps capacity
   BufPool buf_pool_;
   std::atomic<bool> sleeping_{false};  // poller parked in epoll_wait
   std::atomic<uint64_t> flush_syscalls_{0};
   std::atomic<uint64_t> frames_flushed_{0};
+  std::atomic<uint64_t> interest_changes_{0};
   std::atomic<uint64_t> wakeups_elided_{0};
 };
 

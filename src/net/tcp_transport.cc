@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstring>
 #include <future>
+#include <stdexcept>
 
 #include "common/logging.h"
 
@@ -278,6 +279,11 @@ void TcpDriver::register_metrics(MetricsRegistry& reg,
     for (const auto& sh : shards_) n += sh->reactor.frames_flushed();
     return static_cast<double>(n);
   });
+  reg.gauge_fn(prefix + ".interest_changes", [this] {
+    uint64_t n = 0;
+    for (const auto& sh : shards_) n += sh->reactor.interest_changes();
+    return static_cast<double>(n);
+  });
 }
 
 // ----------------------------------------------------------- TcpTransport
@@ -285,6 +291,12 @@ void TcpDriver::register_metrics(MetricsRegistry& reg,
 namespace {
 constexpr size_t kEnvelopeBytes = 8;  // u32 from + u32 to
 constexpr size_t kFrameHeaderBytes = 4;
+
+// The listener port a hello's envelope names; 0 if it is not a hello.
+uint16_t hello_port(Address from, Address to) {
+  if (to != TcpTransport::kHelloAddr || from == 0 || from > 0xFFFF) return 0;
+  return static_cast<uint16_t>(from);
+}
 
 void append_u32(Bytes& out, uint32_t v) {
   out.push_back(static_cast<uint8_t>(v));
@@ -298,38 +310,27 @@ TcpTransport::TcpTransport(TcpDriver& driver, size_t shard)
     : driver_(driver),
       shard_(shard),
       listener_(std::make_unique<TcpListener>(
-          driver.reactor(shard), 0, [this](TcpConnection& conn) {
-            inbound_[conn.id()] = &conn;
-            conn.set_payload_handler([this](TcpConnection&, Payload frame) {
-              on_incoming_frame(std::move(frame));
-            });
-            conn.set_close_handler(
-                [this](TcpConnection& c) { inbound_.erase(c.id()); });
-          })) {}
+          driver.reactor(shard), 0,
+          [this](TcpConnection& conn) { track(conn, true); })) {}
 
 TcpTransport::~TcpTransport() {
-  // Close both directions: the outgoing cache AND accepted connections,
-  // whose handlers capture `this` — leaving them registered in the shared
-  // reactor would be a use-after-free on the next peer frame.
-  for (auto& [port, conn] : conns_) {
-    if (conn) {
-      conn->set_close_handler(nullptr);
-      conn->close();
-    }
+  // Close every connection, accepted or connected: their handlers capture
+  // `this`, and leaving them registered in the shared reactor would be a
+  // use-after-free on the next peer frame. Null all handlers first, so no
+  // close handler runs against the maps while they are walked.
+  for (auto& [id, link] : links_) {
+    link.conn->set_close_handler(nullptr);
+    link.conn->set_payload_handler(nullptr);
   }
-  auto inbound = std::move(inbound_);
-  for (auto& [id, conn] : inbound) {
-    if (conn) {
-      conn->set_close_handler(nullptr);
-      conn->set_payload_handler(nullptr);
-      conn->close();
-    }
-  }
+  for (auto& [id, link] : links_) link.conn->close();
 }
 
 uint16_t TcpTransport::port() const { return listener_->port(); }
 
 void TcpTransport::bind(Address addr, Handler handler) {
+  if (addr == kHelloAddr) {
+    throw std::invalid_argument("address reserved for the TCP hello");
+  }
   handlers_[addr] = std::move(handler);
   driver_.add_route(addr, port());
 }
@@ -342,11 +343,20 @@ void TcpTransport::unbind(Address addr) {
   handlers_.erase(addr);
 }
 
-void TcpTransport::on_incoming_frame(Payload frame) {
+void TcpTransport::on_incoming_frame(TcpConnection& conn, Payload frame) {
   Reader r(frame);
   Address from = r.u32();
   Address to = r.u32();
   if (!r.ok()) return;  // malformed envelope: drop
+  if (to == kHelloAddr) {
+    // The connector's listener port: answer it on this connection unless
+    // a cached connection already carries our frames there (switching a
+    // live one could reorder them).
+    links_.at(conn.id()).awaiting_hello = false;
+    uint16_t port = hello_port(from, to);
+    if (port != 0 && !conns_.contains(port)) cache(port, conn);
+    return;
+  }
   auto it = handlers_.find(to);
   if (it == handlers_.end()) {
     messages_dropped_.fetch_add(1, std::memory_order_relaxed);
@@ -360,22 +370,75 @@ void TcpTransport::on_incoming_frame(Payload frame) {
   it->second(from, std::move(frame));
 }
 
+void TcpTransport::track(TcpConnection& conn, bool accepted) {
+  links_[conn.id()] = Link{&conn, 0, accepted};
+  conn.set_payload_handler([this](TcpConnection& c, Payload frame) {
+    on_incoming_frame(c, std::move(frame));
+  });
+  conn.set_close_handler([this](TcpConnection& c) {
+    auto link = links_.find(c.id());
+    if (link == links_.end()) return;
+    auto cached = conns_.find(link->second.port);
+    if (cached != conns_.end() && cached->second == &c) conns_.erase(cached);
+    links_.erase(link);
+  });
+}
+
+void TcpTransport::cache(uint16_t port, TcpConnection& conn) {
+  conns_[port] = &conn;
+  Link& link = links_.at(conn.id());
+  link.port = port;
+  link.awaiting_hello = false;
+  // A later cache miss for this port is then counted as a reconnect.
+  ever_connected_.insert(port);
+}
+
+TcpConnection* TcpTransport::pending_from(uint16_t port) {
+  listener_->accept_pending();
+  for (auto& [id, link] : links_) {
+    uint8_t head[kFrameHeaderBytes + kEnvelopeBytes];
+    if (!link.awaiting_hello || !link.conn->peek_start(head, sizeof(head))) {
+      continue;
+    }
+    Reader r(head, sizeof(head));
+    uint32_t len = r.u32();
+    Address from = r.u32();
+    Address to = r.u32();
+    if (len == kEnvelopeBytes && hello_port(from, to) == port) {
+      return link.conn;
+    }
+  }
+  return nullptr;
+}
+
 TcpConnection* TcpTransport::connection_to(uint16_t port) {
   auto it = conns_.find(port);
-  if (it != conns_.end() && it->second && !it->second->closed()) {
-    return it->second;
+  if (it != conns_.end()) return it->second;
+  // The peer may have connected to us since our last poll: answer on its
+  // connection rather than open a second one.
+  if (TcpConnection* conn = pending_from(port)) {
+    cache(port, *conn);
+    return conn;
   }
   // A dead cached connection was already evicted by its close handler, so
   // a cache miss for a port we connected to before IS the reconnect case.
-  if (!ever_connected_.insert(port).second) {
+  if (ever_connected_.contains(port)) {
     reconnects_.fetch_add(1, std::memory_order_relaxed);
   }
   TcpConnection& conn = driver_.reactor(shard_).connect(port);
-  conn.set_close_handler([this, port](TcpConnection& c) {
-    auto cached = conns_.find(port);
-    if (cached != conns_.end() && cached->second == &c) conns_.erase(cached);
-  });
-  conns_[port] = &conn;
+  track(conn, false);
+  cache(port, conn);
+  // The hello goes ahead of any data, so the peer can answer on this
+  // connection. It is written now rather than at the round's flush, so a
+  // peer about to send to us before its next poll already finds it (see
+  // pending_from). It is not a message: only the wire counter sees it.
+  Bytes hello = acquire_bytes();
+  append_u32(hello, static_cast<uint32_t>(kEnvelopeBytes));
+  append_u32(hello, this->port());
+  append_u32(hello, kHelloAddr);
+  wire_bytes_sent_.fetch_add(hello.size(), std::memory_order_relaxed);
+  conn.send_framed(std::move(hello));
+  conn.flush();
   return &conn;
 }
 

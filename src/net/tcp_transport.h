@@ -19,10 +19,25 @@
 // a shard: touch it only from that shard's thread, from before start(),
 // or through post_to()/run_on().
 //
+// Connections: one TCP connection per pair of transports, used in both
+// directions. The side that sends first connects and writes a hello frame
+// ahead of any data; the acceptor learns the connector's listener port
+// from it and caches the accepted connection as its own route to that
+// port, so replies ride the requester's socket and carry the ACKs of its
+// data. An acceptor that wants to send before it has read the hello
+// accepts and peeks its pending connections for one naming the port. A
+// side that already holds a live connection to the port keeps it (two
+// sides connecting at the same instant keep two connections, one per
+// direction), and a sender switches connections only when its cached one
+// closes, so each direction stays FIFO.
+//
 // Wire format per frame: [u32 from][u32 to][payload bytes]. The envelope
 // carries addresses because a single listener can host several logical
 // endpoints (the front-end and membership server share a port, as they
-// share a process in the paper's deployment).
+// share a process in the paper's deployment). The hello is the same
+// envelope with to = kHelloAddr and from = the connector's listener port,
+// and no payload; it is not a message and no counter of the Transport
+// interface sees it.
 #pragma once
 
 #include <atomic>
@@ -180,9 +195,9 @@ class TcpDriver {
   uint64_t wakeups_elided() const;
   // Registers the driver's counters with a metrics registry as lazy
   // gauges under `prefix` (mailbox ring overflows, elided wakeups, and
-  // the per-reactor flush batching counters summed over shards). All
-  // sampled counters are relaxed atomics, so snapshotting while shard
-  // loops run is race-free.
+  // the per-reactor flush batching and epoll interest-change counters
+  // summed over shards). All sampled counters are relaxed atomics, so
+  // snapshotting while shard loops run is race-free.
   void register_metrics(MetricsRegistry& reg, const std::string& prefix);
 
  private:
@@ -208,6 +223,10 @@ class TcpDriver {
 
 class TcpTransport : public Transport {
  public:
+  // Reserved `to` address of the hello frame; bind() rejects it. Cluster
+  // addresses are small (node_address() = 100 + id).
+  static constexpr Address kHelloAddr = 0xFFFFFFFF;
+
   // Opens a listener on an ephemeral loopback port (query with port()).
   // The transport is pinned to `shard`: all its socket, timer and handler
   // work runs on that shard's loop.
@@ -246,7 +265,8 @@ class TcpTransport : public Transport {
   uint64_t bytes_dropped() const override {
     return bytes_dropped_.load(std::memory_order_relaxed);
   }
-  // Actual on-the-wire volume including envelope + frame headers.
+  // Actual on-the-wire volume including envelope + frame headers and
+  // hellos.
   uint64_t wire_bytes_sent() const {
     return wire_bytes_sent_.load(std::memory_order_relaxed);
   }
@@ -255,18 +275,30 @@ class TcpTransport : public Transport {
   }
 
  private:
-  void on_incoming_frame(Payload frame);
+  void on_incoming_frame(TcpConnection& conn, Payload frame);
   // Cached connection to a peer port, (re)connecting as needed.
   TcpConnection* connection_to(uint16_t port);
+  // Delivers `conn`'s frames to this transport until it closes.
+  void track(TcpConnection& conn, bool accepted);
+  // Makes `conn` the cached connection to `port`; evicted when it closes.
+  void cache(uint16_t port, TcpConnection& conn);
+  // An accepted connection whose unread hello names `port`, if any.
+  TcpConnection* pending_from(uint16_t port);
+
+  struct Link {
+    TcpConnection* conn;
+    uint16_t port = 0;            // cached as conns_[port]; 0 = not cached
+    bool awaiting_hello = false;  // accepted, no hello read yet
+  };
 
   TcpDriver& driver_;
   const size_t shard_;
   std::unique_ptr<TcpListener> listener_;
   std::unordered_map<Address, Handler> handlers_;
   std::unordered_map<uint16_t, TcpConnection*> conns_;  // by remote port
-  // Accepted connections: their frame handlers capture `this`, so the
-  // destructor must close them too, not just the outgoing cache.
-  std::unordered_map<uint64_t, TcpConnection*> inbound_;  // by conn id
+  // Every open connection, accepted or connected: their handlers capture
+  // `this`, so the destructor must close them all, not just the cache.
+  std::unordered_map<uint64_t, Link> links_;  // by conn id
   std::unordered_set<uint16_t> ever_connected_;  // reconnect accounting
   double latency_ = 50e-6;
   std::atomic<uint64_t> messages_sent_{0};

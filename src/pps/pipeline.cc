@@ -172,7 +172,7 @@ QueryStats MatchPipeline::run_realtime(
   stats.matches = matches.load();
   stats.duration_s = seconds_since(t0);
   stats.io_s = config_.io.read_seconds(
-      config_.source, slice.bytes,
+      config_.source, store_.bytes(slice),
       static_cast<uint32_t>(slice.extents.size()));
   stats.cpu_s = cpu_total.load();
   stats.fixed_s = config_.fixed_cost_s;
@@ -201,7 +201,7 @@ QueryStats MatchPipeline::run_modeled(
   stats.scanned = slice.count;
   stats.matches = matches;
   stats.io_s = config_.io.read_seconds(
-      config_.source, slice.bytes,
+      config_.source, store_.bytes(slice),
       static_cast<uint32_t>(slice.extents.size()));
   stats.cpu_s = cpu_measured;
   stats.fixed_s = config_.fixed_cost_s;

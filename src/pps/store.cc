@@ -96,7 +96,6 @@ MetadataStore::RangeSlice MetadataStore::slice(const Arc& arc) const {
     if (first >= last) return;
     out.extents.emplace_back(first, last);
     out.count += last - first;
-    for (size_t i = first; i < last; ++i) out.bytes += items_[i].byte_size();
   };
   if (lo.raw() < hi.raw() && arc.length() > 0) {
     // Non-wrapping arc.
@@ -114,8 +113,16 @@ MetadataStore::RangeSlice MetadataStore::slice_all() const {
   if (items_.empty()) return out;
   out.extents.emplace_back(0, items_.size());
   out.count = items_.size();
-  out.bytes = total_bytes_;
   return out;
+}
+
+uint64_t MetadataStore::bytes(const RangeSlice& s) const {
+  if (s.count == items_.size()) return total_bytes_;
+  uint64_t total = 0;
+  for (auto [first, last] : s.extents) {
+    for (size_t i = first; i < last; ++i) total += items_[i].byte_size();
+  }
+  return total;
 }
 
 }  // namespace roar::pps

@@ -62,9 +62,10 @@ class MetadataStore {
     // [first, last) index pairs, at most two (wrap).
     std::vector<std::pair<size_t, size_t>> extents;
     size_t count = 0;
-    uint64_t bytes = 0;
   };
   RangeSlice slice(const Arc& arc) const;
+  // Encrypted bytes the slice covers (O(count); O(1) for a full slice).
+  uint64_t bytes(const RangeSlice& s) const;
 
   // Full-store slice (single extent).
   RangeSlice slice_all() const;

@@ -165,7 +165,8 @@ TEST_F(PpsOnRoarTest, PartialLoadTouchesOnlyWindowBlocks) {
     auto slice = stores[part.node].slice(window);
     EXPECT_LT(slice.count, stores[part.node].size())
         << "window slice must be a strict subset of the node's store";
-    EXPECT_LT(slice.bytes, stores[part.node].total_bytes());
+    EXPECT_LT(stores[part.node].bytes(slice),
+              stores[part.node].total_bytes());
   }
 }
 

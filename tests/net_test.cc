@@ -2,6 +2,7 @@
 // fragmentation, the virtual-time loop, the in-process network, and the
 // real TCP loopback transport (DESIGN.md invariant 7).
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include "common/rng.h"
 #include "net/event_loop.h"
@@ -269,6 +270,60 @@ TEST(TcpTest, ManyConcurrentClients) {
   }
   ASSERT_TRUE(reactor.poll_until([&] { return replies == 50; }));
   EXPECT_EQ(frames, 50);
+}
+
+TEST(TcpTest, FlushWithoutBackpressureChangesNoInterest) {
+  TcpReactor reactor;
+  TcpConnection* server = nullptr;
+  int frames = 0;
+  TcpListener listener(reactor, 0, [&](TcpConnection& conn) {
+    server = &conn;
+    conn.set_payload_handler([&](TcpConnection&, Payload) { ++frames; });
+  });
+  TcpConnection& client = reactor.connect(listener.port());
+  ASSERT_TRUE(reactor.poll_until([&] { return server != nullptr; }));
+  const uint64_t before = reactor.interest_changes();
+
+  // Many flush rounds, each well inside the socket buffer: every writev
+  // drains its queue, so the registered EPOLLIN mask never changes.
+  for (int round = 0; round < 20; ++round) {
+    for (int j = 0; j < 5; ++j) client.send({static_cast<uint8_t>(j)});
+    reactor.poll(0);
+  }
+  ASSERT_TRUE(reactor.poll_until([&] { return frames == 100; }));
+  EXPECT_GT(reactor.flush_syscalls(), 0u);
+  EXPECT_EQ(reactor.interest_changes() - before, 0u);
+}
+
+TEST(TcpTest, BacklogSetsThenClearsEpollOutOnce) {
+  TcpReactor reactor;
+  TcpConnection* server = nullptr;
+  size_t received = 0;
+  TcpListener listener(reactor, 0, [&](TcpConnection& conn) {
+    server = &conn;
+    conn.set_payload_handler(
+        [&](TcpConnection&, Payload f) { received += f.size(); });
+  });
+  TcpConnection& client = reactor.connect(listener.port());
+  ASSERT_TRUE(reactor.poll_until([&] { return server != nullptr; }));
+  // Small socket buffers, so the backlog below cannot fit in the kernel.
+  int small = 16 * 1024;
+  setsockopt(client.fd(), SOL_SOCKET, SO_SNDBUF, &small, sizeof(small));
+  setsockopt(server->fd(), SOL_SOCKET, SO_RCVBUF, &small, sizeof(small));
+  const uint64_t before = reactor.interest_changes();
+
+  // Queue 8 MiB with no poll in between: the inline flushes hit EAGAIN
+  // and add EPOLLOUT; polling then drains the queue and drops it.
+  constexpr size_t kFrame = 64 * 1024, kFrames = 128;
+  Bytes chunk(kFrame, 0x5a);
+  for (size_t i = 0; i < kFrames; ++i) client.send(chunk);
+  EXPECT_GT(client.pending_bytes(), 0u) << "backlog must outgrow the socket";
+  EXPECT_EQ(reactor.interest_changes() - before, 1u) << "EPOLLOUT added";
+  ASSERT_TRUE(
+      reactor.poll_until([&] { return received == kFrame * kFrames; }));
+  EXPECT_EQ(client.pending_bytes(), 0u);
+  EXPECT_EQ(reactor.interest_changes() - before, 2u)
+      << "EPOLLOUT added once and dropped once";
 }
 
 TEST(TcpTest, PeerCloseIsDetected) {

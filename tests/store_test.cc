@@ -34,7 +34,7 @@ TEST_F(StoreTest, SliceAllCoversEverything) {
   store.load(make_corpus(100));
   auto s = store.slice_all();
   EXPECT_EQ(s.count, 100u);
-  EXPECT_EQ(s.bytes, store.total_bytes());
+  EXPECT_EQ(store.bytes(s), store.total_bytes());
   EXPECT_EQ(s.extents.size(), 1u);
 }
 

@@ -1,7 +1,11 @@
 // TcpTransport unit tests: the Transport contract (bind/unbind/send by
 // Address) over real loopback sockets, the address registry, connection
-// caching + reconnect, drop accounting, and the wall-clock timer facade.
+// caching + reconnect, one shared connection per peer pair, drop
+// accounting, and the wall-clock timer facade.
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
 
 #include <atomic>
 #include <thread>
@@ -127,6 +131,158 @@ TEST(TcpTransportTest, ReconnectsAfterConnectionLoss) {
   ASSERT_TRUE(driver.run_until([&] { return got == 2; }))
       << "send after connection loss must transparently reconnect";
   EXPECT_EQ(a.reconnects(), 1u) << "cache miss after eviction is a reconnect";
+}
+
+// The connection end whose local port is `port`: the acceptor's side of a
+// connection made to that listener.
+TcpConnection* accepted_end(TcpReactor& reactor, uint16_t port) {
+  for (const auto& [id, conn] : reactor.connections()) {
+    sockaddr_in addr{};
+    socklen_t len = sizeof(addr);
+    auto* sa = reinterpret_cast<sockaddr*>(&addr);
+    if (conn->closed() || getsockname(conn->fd(), sa, &len) != 0) continue;
+    if (ntohs(addr.sin_port) == port) return conn.get();
+  }
+  return nullptr;
+}
+
+Bytes seq_payload(uint16_t i) {
+  return {static_cast<uint8_t>(i), static_cast<uint8_t>(i >> 8)};
+}
+uint16_t seq_of(const Payload& p) {
+  Bytes b = p.to_bytes();
+  return static_cast<uint16_t>(b[0] | (b[1] << 8));
+}
+
+TEST(TcpTransportTest, RepliesRideTheRequestersConnection) {
+  TcpDriver driver;
+  TcpTransport a(driver), b(driver);
+  std::vector<uint16_t> got_a, got_b;
+  b.bind(20, [&](Address from, Payload payload) {
+    got_b.push_back(seq_of(payload));
+    b.send(20, from, payload.to_bytes());  // reply
+  });
+  a.bind(10, [&](Address, Payload payload) {
+    got_a.push_back(seq_of(payload));
+  });
+
+  constexpr uint16_t kFrames = 200;
+  for (uint16_t i = 0; i < kFrames; ++i) a.send(10, 20, seq_payload(i));
+  ASSERT_TRUE(driver.run_until([&] { return got_a.size() == kFrames; }));
+  std::vector<uint16_t> want(kFrames);
+  for (uint16_t i = 0; i < kFrames; ++i) want[i] = i;
+  EXPECT_EQ(got_b, want) << "requests arrive in order";
+  EXPECT_EQ(got_a, want) << "replies arrive in order";
+  // One TCP connection: a's connected end and b's accepted end.
+  EXPECT_EQ(driver.reactor().connections().size(), 2u);
+  EXPECT_EQ(a.reconnects() + b.reconnects(), 0u);
+}
+
+TEST(TcpTransportTest, ClosedAdoptedConnectionReconnectsOnReply) {
+  TcpDriver driver;
+  TcpTransport a(driver), b(driver);
+  int got_a = 0, got_b = 0;
+  a.bind(10, [&](Address, Payload) { ++got_a; });
+  b.bind(20, [&](Address, Payload) { ++got_b; });
+
+  a.send(10, 20, {1});
+  ASSERT_TRUE(driver.run_until([&] { return got_b == 1; }));
+  b.send(20, 10, {2});
+  ASSERT_TRUE(driver.run_until([&] { return got_a == 1; }));
+  ASSERT_EQ(driver.reactor().connections().size(), 2u);
+  EXPECT_EQ(b.reconnects(), 0u) << "the reply rode a's connection";
+
+  TcpConnection* adopted = accepted_end(driver.reactor(), b.port());
+  ASSERT_NE(adopted, nullptr);
+  adopted->close();
+  driver.poll(0);
+
+  b.send(20, 10, {3});
+  ASSERT_TRUE(driver.run_until([&] { return got_a == 2; }))
+      << "a reply after the adopted connection closed must reconnect";
+  EXPECT_EQ(b.reconnects(), 1u);
+  EXPECT_EQ(a.reconnects(), 0u);
+}
+
+TEST(TcpTransportTest, BothSendBeforePollingShareOneConnection) {
+  TcpDriver driver;
+  TcpTransport a(driver), b(driver);
+  std::vector<uint16_t> got_a, got_b;
+  a.bind(10, [&](Address, Payload p) { got_a.push_back(seq_of(p)); });
+  b.bind(20, [&](Address, Payload p) { got_b.push_back(seq_of(p)); });
+
+  // Neither side polls before both have sent: b's first send finds a's
+  // connection waiting in its listener, hello unread, and answers on it.
+  constexpr uint16_t kFrames = 50;
+  for (uint16_t i = 0; i < kFrames; ++i) {
+    a.send(10, 20, seq_payload(i));
+    b.send(20, 10, seq_payload(i));
+  }
+  ASSERT_TRUE(driver.run_until(
+      [&] { return got_a.size() == kFrames && got_b.size() == kFrames; }));
+  std::vector<uint16_t> want(kFrames);
+  for (uint16_t i = 0; i < kFrames; ++i) want[i] = i;
+  EXPECT_EQ(got_a, want);
+  EXPECT_EQ(got_b, want);
+  EXPECT_EQ(driver.reactor().connections().size(), 2u);
+  EXPECT_EQ(a.reconnects() + b.reconnects(), 0u);
+}
+
+TEST(TcpTransportTest, OnlyAHelloNamesAConnection) {
+  TcpDriver driver;
+  TcpTransport a(driver), b(driver);
+  int got_a = 0, got_b = 0, got_raw = 0;
+  a.bind(10, [&](Address, Payload) { ++got_a; });
+  b.bind(20, [&](Address, Payload) { ++got_b; });
+  TcpConnection& raw = driver.reactor().connect(b.port());
+  raw.set_payload_handler([&](TcpConnection&, Payload) { ++got_raw; });
+  auto envelope = [](uint32_t from, uint32_t to) {
+    Bytes e;
+    for (uint32_t v : {from, to}) {
+      for (int k = 0; k < 4; ++k) e.push_back(static_cast<uint8_t>(v >> 8 * k));
+    }
+    return e;
+  };
+
+  // A data frame claiming a's address does not make `raw` b's route to a.
+  raw.send(envelope(10, 20));
+  ASSERT_TRUE(driver.run_until([&] { return got_b == 1; }));
+  b.send(20, 10, {1});
+  ASSERT_TRUE(driver.run_until([&] { return got_a == 1; }));
+
+  // Nor does a hello naming a's port while b holds a live connection there.
+  raw.send(envelope(a.port(), TcpTransport::kHelloAddr));
+  for (int i = 0; i < 5; ++i) driver.poll(1);
+  b.send(20, 10, {2});
+  ASSERT_TRUE(driver.run_until([&] { return got_a == 2; }));
+  EXPECT_EQ(got_raw, 0);
+  EXPECT_EQ(b.messages_dropped(), 0u) << "a hello is not a dropped message";
+}
+
+TEST(TcpTransportTest, HellosAreNotCountedAsMessages) {
+  TcpDriver driver;
+  TcpTransport a(driver), b(driver);
+  int got_a = 0, got_b = 0;
+  a.bind(10, [&](Address, Payload) { ++got_a; });
+  b.bind(20, [&](Address, Payload) { ++got_b; });
+
+  a.send(10, 20, {1, 2, 3});
+  ASSERT_TRUE(driver.run_until([&] { return got_b == 1; }));
+  b.send(20, 10, {4});
+  ASSERT_TRUE(driver.run_until([&] { return got_a == 1; }));
+
+  EXPECT_EQ(a.messages_sent(), 1u);
+  EXPECT_EQ(a.bytes_sent(), 3u);
+  EXPECT_EQ(b.messages_sent(), 1u);
+  EXPECT_EQ(b.bytes_sent(), 1u);
+  EXPECT_EQ(a.messages_dropped() + b.messages_dropped(), 0u);
+  EXPECT_EQ(a.bytes_dropped() + b.bytes_dropped(), 0u);
+  // On the wire: a's frame and hello ([len][from][to], 12 bytes each),
+  // b's reply frame and no hello of its own.
+  EXPECT_EQ(a.wire_bytes_sent(), (12u + 3u) + 12u);
+  EXPECT_EQ(b.wire_bytes_sent(), 12u + 1u);
+  EXPECT_THROW(a.bind(TcpTransport::kHelloAddr, [](Address, Payload) {}),
+               std::invalid_argument);
 }
 
 TEST(TcpTransportTest, DestroyedEndpointBlackHolesFrames) {
